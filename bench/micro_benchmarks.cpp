@@ -12,6 +12,7 @@
 #include "rtl/verilog_writer.hpp"
 #include "sim/accelerator_sim.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 
 namespace {
 
@@ -29,7 +30,8 @@ tm::TsetlinMachine& trained_tm() {
         cfg.threshold = 20;
         cfg.seed = 42;
         tm::TsetlinMachine m(cfg, 784, 10);
-        m.fit(mnist_small(), 2);
+        train::ParallelTrainer(train::FitOptions{.epochs = 2, .threads = 1})
+            .fit(m, mnist_small());
         return m;
     }();
     return machine;
@@ -60,17 +62,27 @@ void BM_TmClassSums(benchmark::State& state) {
 }
 BENCHMARK(BM_TmClassSums);
 
-void BM_TmTrainExample(benchmark::State& state) {
+void BM_TmTrainClass(benchmark::State& state) {
+    // One example's target-class feedback: the kernel ParallelTrainer runs
+    // once per (example, class) pair.
     auto& machine = trained_tm();
     const auto& ds = mnist_small();
+    const std::size_t words = machine.literal_words();
+    std::vector<std::uint64_t> lits(ds.size() * words);
+    for (std::size_t i = 0; i < ds.size(); ++i)
+        machine.build_literals(ds.examples[i], lits.data() + i * words);
+    auto scratch = machine.make_scratch();
     std::size_t i = 0;
     for (auto _ : state) {
-        machine.train_example(ds.examples[i % ds.size()], ds.labels[i % ds.size()]);
-        ++i;
+        const std::size_t ex = i % ds.size();
+        util::KeyedRng rng(machine.config().seed, i++);
+        machine.train_class(ds.labels[ex], /*is_target=*/true, lits.data() + ex * words,
+                            rng, scratch);
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TmTrainExample);
+BENCHMARK(BM_TmTrainClass);
 
 void BM_Packetize(benchmark::State& state) {
     const model::Packetizer p{model::PacketPlan(784, 64)};

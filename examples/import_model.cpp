@@ -8,7 +8,7 @@
 //   3. runs the import flow (no training stage) and shows the generated
 //      accelerator is bit-identical to the one from the training flow,
 //   4. continues on-device-style fine-tuning from the imported model via
-//      TsetlinMachine::import_model.
+//      TsetlinMachine::import_model and train::ParallelTrainer.
 #include <cstdio>
 #include <iostream>
 
@@ -16,6 +16,7 @@
 #include "core/report.hpp"
 #include "data/synthetic.hpp"
 #include "tm/tsetlin_machine.hpp"
+#include "train/parallel_trainer.hpp"
 
 int main() {
     using namespace matador;
@@ -63,7 +64,8 @@ int main() {
     tm::TsetlinMachine machine(cfg.tm, ds.num_features, ds.num_classes);
     machine.import_model(loaded);
     const double before = machine.evaluate(split.test);
-    machine.fit(split.train, 5);
+    train::ParallelTrainer(train::FitOptions{.epochs = 5, .threads = 1})
+        .fit(machine, split.train);
     const double after = machine.evaluate(split.test);
     std::printf("fine-tuning from import: %.2f%% -> %.2f%% test accuracy\n",
                 100.0 * before, 100.0 * after);

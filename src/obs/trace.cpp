@@ -50,6 +50,9 @@ void TraceRecorder::set_process_name(std::string name) {
 void TraceRecorder::record(TraceEvent ev) {
     if (!enabled()) return;
     ThreadBuffer& buffer = local_buffer();
+    // Only the owner thread touches `events` before publishing a count, so
+    // the lazy allocation needs no lock.
+    if (buffer.events.empty()) buffer.events.resize(kEventsPerThread);
     // Single producer per buffer: only this thread writes `count`, so the
     // plain load / release store pair publishes the slot to exporters.
     const std::size_t i = buffer.count.load(std::memory_order_relaxed);

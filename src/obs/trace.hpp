@@ -3,12 +3,14 @@
 // Every thread that records gets its own fixed-capacity event buffer, so
 // the hot path is: one relaxed atomic load (the runtime enable flag), two
 // steady_clock reads, and a single-producer append - no locks, no
-// allocation after the buffer exists.  The registry mutex is taken only
-// when a thread records its first event and at export time; an export can
-// run while traffic continues (it reads each buffer up to its published
-// count, and entries below that count are immutable).  A full buffer
-// drops further events and counts them - tracing is best-effort telemetry,
-// never backpressure.
+// allocation after the buffer exists.  The event storage is allocated on
+// the thread's first recorded event, so a thread that only names itself
+// (every pool worker does) costs a few bytes while tracing is off.  The
+// registry mutex is taken only when a thread first names itself or
+// records, and at export time; an export can run while traffic continues
+// (it reads each buffer up to its published count, and entries below that
+// count are immutable).  A full buffer drops further events and counts
+// them - tracing is best-effort telemetry, never backpressure.
 //
 // Exported JSON is the Chrome trace-event format: load the file in
 // Perfetto (ui.perfetto.dev) or chrome://tracing and every named thread is
@@ -95,13 +97,16 @@ public:
     /// quiet point (process start, post-fork shard start, test setup).
     void reset();
 
-    /// Fixed per-thread buffer capacity, in events.
+    /// Fixed per-thread buffer capacity, in events (allocated on a thread's
+    /// first recorded event).
     static constexpr std::size_t kEventsPerThread = 1u << 16;
 
 private:
     struct ThreadBuffer {
-        explicit ThreadBuffer(unsigned id) : events(kEventsPerThread), tid(id) {}
-        std::vector<TraceEvent> events;    ///< fixed capacity, never resized
+        explicit ThreadBuffer(unsigned id) : tid(id) {}
+        /// Empty until the owner's first record(), then kEventsPerThread,
+        /// never resized again.  Exporters read it only below `count`.
+        std::vector<TraceEvent> events;
         std::atomic<std::size_t> count{0};  ///< published events (release)
         std::atomic<std::uint64_t> dropped{0};
         unsigned tid;
@@ -187,8 +192,8 @@ private:
     bool done_ = false;
 };
 
-/// Name the calling thread's track (no-op until it records with tracing
-/// enabled is fine too - the name sticks to the thread's buffer).
+/// Name the calling thread's track.  Cheap with tracing off: the name is
+/// kept for export, but no event storage exists until the thread records.
 inline void set_thread_name(std::string name) {
     TraceRecorder::instance().set_thread_name(std::move(name));
 }

@@ -92,7 +92,7 @@ FitReport ParallelTrainer::fit(tm::TsetlinMachine& machine,
         // Compile the machine's include planes once per evaluation point,
         // then score both sets 64 examples per pass, block-sliced over the
         // worker pool.  Predictions (and hence the accuracy history) are
-        // bit-identical to the scalar predict_literals loop this replaces.
+        // bit-identical to the scalar TsetlinMachine::predict reference.
         TRACE_SPAN("eval-point", "train");
         const infer::BatchEngine engine(machine);
         EpochMetrics m;

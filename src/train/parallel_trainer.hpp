@@ -1,10 +1,11 @@
 // ParallelTrainer: deterministic class-parallel Tsetlin-Machine training.
 //
-// The sequential trainer (TsetlinMachine::fit) funnels every feedback
-// decision through one shared RNG, so its result is welded to a single
-// execution order.  This engine restructures an epoch so the only data
-// dependency that remains is the real one - within a class, examples must
-// be seen in order - and everything else is free to run concurrently:
+// This is the project's only trainer: the pipeline train stage, the CLI,
+// sweeps, examples, benches and tests all fit through it (FitOptions with
+// threads = 1 is the single-threaded form).  An epoch is structured so the
+// only data dependency that remains is the real one - within a class,
+// examples must be seen in order - and everything else is free to run
+// concurrently:
 //
 //   * literals: [x | ~x] vectors are built once per example up front and
 //     shared read-only by all workers and all epochs;
@@ -13,8 +14,8 @@
 //     sampled negative class, and each class's updates are applied by
 //     exactly one worker in epoch order - no locks, no barriers inside an
 //     epoch, disjoint writes;
-//   * randomness: stateless KeyedRng streams (util/rng.hpp) replace the
-//     shared sequential RNG - the epoch shuffle is keyed by (seed, epoch),
+//   * randomness: stateless KeyedRng streams (util/rng.hpp), no shared
+//     sequential RNG - the epoch shuffle is keyed by (seed, epoch),
 //     negative-class sampling by (seed, epoch, example) so every worker
 //     derives it identically without drawing from a shared stream, and
 //     feedback masks by (seed, epoch, example, class).

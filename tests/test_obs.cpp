@@ -1,11 +1,13 @@
 // Tests for the observability subsystem: span recording and thread
-// tracks, Chrome-trace JSON export, histogram/LatencyRing percentile
+// tracks, lazy per-thread event storage, Chrome-trace JSON export, histogram/LatencyRing percentile
 // parity, registry concurrency (the TSan job runs this binary), the
 // cross-shard merge helpers, and serve-status wire-format back-compat.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/metrics.hpp"
+#include "train/worker_pool.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -121,6 +124,54 @@ TEST_F(ObsTest, DisabledRecorderCostsNoEventsButTimedSpanStillMeasures) {
     const double secs = watch.finish();
     EXPECT_GE(secs, 0.0);
     EXPECT_EQ(rec.recorded_total(), before);
+}
+
+/// Resident set size of this process in bytes (Linux /proc).
+std::size_t resident_bytes() {
+    std::ifstream statm("/proc/self/statm");
+    std::size_t pages_total = 0, pages_resident = 0;
+    statm >> pages_total >> pages_resident;
+    return pages_resident * std::size_t(sysconf(_SC_PAGESIZE));
+}
+
+TEST_F(ObsTest, NamedThreadsCostNoEventStorageWhileDisabled) {
+    // Every pool worker names its track on start.  With tracing off that
+    // must not allocate a 64k-event buffer (~11 MB) per thread.
+    ASSERT_FALSE(obs::TraceRecorder::instance().enabled());
+    const std::size_t before = resident_bytes();
+    for (int i = 0; i < 5; ++i) {
+        matador::train::WorkerPool pool(4);
+        pool.run([](unsigned) {});
+    }
+    const std::size_t after = resident_bytes();
+    const std::size_t growth = after > before ? after - before : 0;
+    EXPECT_LT(growth, std::size_t{8} << 20) << growth << " bytes";
+}
+
+TEST_F(ObsTest, ThreadNamedWhileDisabledKeepsItsNameOnceRecording) {
+    auto& rec = obs::TraceRecorder::instance();
+    std::atomic<bool> named{false}, enabled{false};
+    std::thread worker([&] {
+        obs::set_thread_name("late-recorder");
+        named = true;
+        while (!enabled) std::this_thread::yield();
+        rec.instant("late-event", "test");
+    });
+    while (!named) std::this_thread::yield();
+    rec.enable();
+    enabled = true;
+    worker.join();
+    rec.disable();
+
+    const Json doc = rec.to_json();
+    const auto ev = find_events(doc, "i", "late-event");
+    ASSERT_EQ(ev.size(), 1u);
+    bool has_name = false;
+    for (const Json& m : find_events(doc, "M", "thread_name"))
+        has_name = has_name ||
+                   (m.at("tid").as_double() == ev[0].at("tid").as_double() &&
+                    m.at("args").at("name").as_string() == "late-recorder");
+    EXPECT_TRUE(has_name);
 }
 
 TEST_F(ObsTest, FullBufferDropsAndCounts) {

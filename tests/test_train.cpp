@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include "data/synthetic.hpp"
@@ -17,6 +18,7 @@ namespace {
 
 using matador::data::Dataset;
 using matador::data::train_test_split;
+using matador::model::TrainedModel;
 using matador::tm::TmConfig;
 using matador::tm::TsetlinMachine;
 using matador::train::FitOptions;
@@ -46,10 +48,15 @@ Dataset ten_class_dataset(std::size_t examples_per_class = 30) {
     return matador::data::make_image_like(p);
 }
 
+/// Hash of the model trained on ten_class_dataset().  `start`, when set, is
+/// imported first, so training continues from it (the import flow's
+/// fine-tuning) instead of from fresh automata.
 std::uint64_t train_hash(unsigned threads, std::size_t epochs = 3,
-                         std::size_t patience = 0, std::size_t eval_every = 0) {
+                         std::size_t patience = 0, std::size_t eval_every = 0,
+                         const TrainedModel* start = nullptr) {
     const Dataset ds = ten_class_dataset();
     TsetlinMachine machine(small_config(), ds.num_features, ds.num_classes);
+    if (start) machine.import_model(*start);
     FitOptions opts;
     opts.epochs = epochs;
     opts.threads = threads;
@@ -75,6 +82,21 @@ TEST(ParallelTrainer, ThreadInvarianceWithEarlyStopping) {
     const std::uint64_t h1 = train_hash(1, 6, /*patience=*/1, /*eval_every=*/1);
     const std::uint64_t h4 = train_hash(4, 6, /*patience=*/1, /*eval_every=*/1);
     EXPECT_EQ(h1, h4);
+}
+
+TEST(ParallelTrainer, ThreadInvarianceFromImportedStart) {
+    // Export, round-trip through the model file format, import, and keep
+    // training: the continued model must not depend on thread count either.
+    const Dataset ds = ten_class_dataset();
+    TsetlinMachine donor(small_config(), ds.num_features, ds.num_classes);
+    ParallelTrainer(FitOptions{.epochs = 2, .threads = 1}).fit(donor, ds);
+    std::stringstream file;
+    donor.export_model().save(file);
+    const TrainedModel start = TrainedModel::load(file);
+
+    const std::uint64_t h1 = train_hash(1, 3, 0, 0, &start);
+    EXPECT_EQ(h1, train_hash(4, 3, 0, 0, &start));
+    EXPECT_NE(h1, train_hash(1));  // the imported start really was used
 }
 
 TEST(ParallelTrainer, MoreThreadsThanClassesStillDeterministic) {
