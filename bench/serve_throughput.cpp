@@ -65,7 +65,6 @@ LevelResult run_level(const std::shared_ptr<const serve::ServableModel>& model,
     train::WorkerPool pool(1);
     serve::BatcherOptions options;
     options.max_queue_depth = 4096;  // closed loop: <= clients pending
-    options.max_batch_delay_ms = 2.0;
     serve::Batcher batcher(pool, options, &metrics);
 
     std::atomic<bool> stop{false};
@@ -197,6 +196,15 @@ int main(int argc, char** argv) {
 
     if (!json_path.empty()) {
         util::Json j = util::Json::object();
+        // The machine the numbers came from: runs on different hosts do
+        // not compare.
+        util::Json machine = util::Json::object();
+        machine.set("compiler", __VERSION__);
+        machine.set("hardware_threads",
+                    double(std::thread::hardware_concurrency()));
+        machine.set("avx2", bool(__builtin_cpu_supports("avx2")));
+        machine.set("avx512f", bool(__builtin_cpu_supports("avx512f")));
+        j.set("machine", std::move(machine));
         j.set("dataset", ds.name);
         j.set("examples", double(ds.size()));
         j.set("features", double(ds.num_features));
@@ -204,7 +212,6 @@ int main(int argc, char** argv) {
         j.set("clauses_per_class", double(cfg.clauses_per_class));
         j.set("live_clauses", double(model->engine.live_clauses()));
         j.set("model_hash", model->hash_hex);
-        j.set("max_batch_delay_ms", 2.0);
         util::Json levels_json = util::Json::array();
         for (const LevelResult& r : results) {
             util::Json level = util::Json::object();

@@ -163,6 +163,29 @@ TrainedModel TrainedModel::load(std::istream& is) {
     const std::size_t features = expect_kv("features");
     const std::size_t classes = expect_kv("classes");
     const std::size_t cpc = expect_kv("clauses_per_class");
+    // The header sizes every allocation below, so bound it before
+    // constructing anything: each count on its own (header lines 2-4), then
+    // the clause storage they multiply out to.
+    const auto check_range = [](const char* key, std::size_t v, std::size_t max,
+                                int header_line) {
+        if (v == 0 || v > max)
+            throw std::runtime_error(
+                "TrainedModel::load: line " + std::to_string(header_line) + ": " +
+                key + " " + std::to_string(v) + " out of range [1, " +
+                std::to_string(max) + "]");
+    };
+    check_range("features", features, kMaxFeatures, 2);
+    check_range("classes", classes, kMaxClasses, 3);
+    check_range("clauses_per_class", cpc, kMaxClausesPerClass, 4);
+    const std::size_t clause_bytes =
+        classes * cpc * (sizeof(Clause) + 2 * ((features + 63) / 64) * 8);
+    if (clause_bytes > kMaxClauseBytes)
+        throw std::runtime_error(
+            "TrainedModel::load: header declares " + std::to_string(classes) +
+            " x " + std::to_string(cpc) + " clauses over " +
+            std::to_string(features) + " features: " +
+            std::to_string(clause_bytes) + " bytes, limit " +
+            std::to_string(kMaxClauseBytes));
     TrainedModel m(features, classes, cpc);
 
     while (std::getline(is, line)) {

@@ -96,8 +96,15 @@ public:
     void save(std::ostream& os) const;
     void save_file(const std::string& path) const;
 
+    /// Header bounds load() enforces before allocating anything.
+    static constexpr std::size_t kMaxFeatures = std::size_t{1} << 20;
+    static constexpr std::size_t kMaxClasses = std::size_t{1} << 16;
+    static constexpr std::size_t kMaxClausesPerClass = std::size_t{1} << 20;
+    static constexpr std::size_t kMaxClauseBytes = std::size_t{1} << 30;
+
     /// Parse the format written by save(). Throws std::runtime_error with a
-    /// clear message on truncated, corrupt, or future-format-version input.
+    /// clear message on truncated, corrupt, out-of-bounds (header beyond
+    /// the limits above) or future-format-version input.
     static TrainedModel load(std::istream& is);
     static TrainedModel load_file(const std::string& path);
 

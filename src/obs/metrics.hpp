@@ -13,9 +13,8 @@
 //   * Gauge    - a single atomic double, last-write-wins.
 //   * Histogram - a fixed ring of the most recent samples (lock-free:
 //     fetch_add slot index + relaxed store) with nearest-rank quantiles
-//     computed at snapshot time.  Deliberately the same capacity and rank
-//     formula as the serve::LatencyRing it replaces, so percentiles are
-//     bit-identical on identical sample streams.
+//     computed at snapshot time (4096 samples, rank = floor(p*(n-1)+0.5);
+//     test_obs pins the quantiles of a fixed stream).
 //
 // Series identity is `name` plus optional labels, rendered Prometheus
 // style: `pipeline_cache_hits{stage="train",tier="disk"}`.
@@ -95,8 +94,8 @@ public:
         double p99 = 0.0;
         std::size_t samples = 0;
     };
-    /// Nearest-rank quantiles over the ring (zeros when empty); the exact
-    /// serve::LatencyRing formula: rank = floor(p * (n - 1) + 0.5).
+    /// Nearest-rank quantiles over the ring (zeros when empty):
+    /// rank = floor(p * (n - 1) + 0.5).
     Quantiles quantiles() const;
 
     /// Copy of the ring's current samples (unordered across writers).

@@ -1,22 +1,24 @@
 // Admission-control micro-batcher: many concurrent single-example requests
-// in, full 64-lane transpose blocks out.
+// in, 64-lane transpose blocks out.
 //
-// The word-parallel BatchEngine only pays off when all 64 lanes of a block
-// carry examples, but an online service receives requests one at a time.
-// The batcher closes that gap:
+// The word-parallel BatchEngine scores a whole 64-lane block for the price
+// of one example, but an online service receives requests one at a time.
+// The batcher closes that gap with adaptive batching (Clipper, NSDI'17):
 //
 //   * submit() enqueues one request (model handle + example + optional
 //     label) onto a BOUNDED queue and returns a future.  A full queue is
 //     overload: the request is shed immediately with a typed
 //     ServeError(kOverloaded) - latency stays bounded because queueing is,
 //     and the client learns to back off instead of timing out.
-//   * a dispatcher thread groups queued requests by their resolved model
-//     (the shared_ptr snapshot taken at submit time, so an alias swap
-//     mid-flight never splits or re-targets a request) and flushes a group
-//     as soon as it fills a 64-lane block - or when its oldest request has
-//     waited max_batch_delay, whichever comes first.  Full blocks never
-//     wait; partial blocks wait at most the configured latency budget.
-//   * flushed blocks fan out across the existing train::WorkerPool (one
+//   * a dispatcher thread, whenever it wakes with work queued, takes the
+//     whole queue, groups it by resolved model (the shared_ptr snapshot
+//     taken at submit time, so an alias swap mid-flight never splits or
+//     re-targets a request), cuts each group into 64-lane blocks - the last
+//     one possibly partial - and runs them.  Nothing waits on a timer: an
+//     idle dispatcher answers a lone request at once, and requests that
+//     arrive while a block runs form the next batch, so occupancy grows
+//     with load by itself.
+//   * blocks fan out across the existing train::WorkerPool (one
 //     predict_block pass per block), promises are fulfilled with the
 //     prediction, the serving model's content hash, and the measured
 //     end-to-end latency; metrics record batch occupancy and, when the
@@ -48,9 +50,6 @@ namespace matador::serve {
 struct BatcherOptions {
     /// Pending (not yet dispatched) requests beyond this are shed.
     std::size_t max_queue_depth = 1024;
-    /// A partial block is flushed once its oldest request has waited this
-    /// long; 0 flushes every wakeup (lowest latency, lowest occupancy).
-    double max_batch_delay_ms = 2.0;
 };
 
 /// What a fulfilled predict future carries.
@@ -78,10 +77,6 @@ public:
                               util::BitVector x,
                               std::optional<std::uint32_t> label = {});
 
-    /// Force-flush everything pending (ignoring the delay timer) and block
-    /// until the batcher is idle.  Serving continues afterwards.
-    void flush();
-
     /// Drain and join the dispatcher.  Every already-accepted request is
     /// fulfilled; later submits are refused.  Idempotent.
     void stop();
@@ -101,18 +96,16 @@ private:
         std::promise<Reply> promise;
         Clock::time_point enqueued;
     };
-    /// One flushed 64-lane block: requests sharing one servable.
+    /// One dispatched 64-lane block: requests sharing one servable.
     struct Block {
         std::shared_ptr<const ServableModel> model;
         std::vector<Request> requests;
     };
 
     void dispatcher_loop();
-    /// Move every ready block out of the queue (mu_ held).  A block is
-    /// ready when full, when `force`, or when its oldest member has waited
-    /// past the delay; returns the earliest future deadline otherwise.
-    std::vector<Block> collect_ready_locked(bool force,
-                                            std::optional<Clock::time_point>* next_deadline);
+    /// Move the whole queue out as blocks (mu_ held): per servable, in
+    /// arrival order, 64 requests to a block.
+    std::vector<Block> take_blocks_locked();
     void run_blocks(std::vector<Block>& blocks);
     void execute_block(Block& block) const;
 
@@ -124,11 +117,8 @@ private:
     mutable std::atomic<double> service_ewma_us_{0.0};
 
     mutable std::mutex mu_;
-    std::condition_variable work_cv_;  ///< submit/stop/flush -> dispatcher
-    std::condition_variable idle_cv_;  ///< dispatcher -> flush()/stop() waiters
+    std::condition_variable work_cv_;  ///< submit/stop -> dispatcher
     std::deque<Request> queue_;
-    std::size_t in_flight_ = 0;  ///< dispatched but not yet fulfilled
-    bool flush_requested_ = false;
     bool stop_ = false;
     std::thread dispatcher_;
 };

@@ -13,32 +13,6 @@ constexpr std::size_t kOutcomeWindow = 1024;  ///< rolling-accuracy window
 
 }  // namespace
 
-LatencyRing::LatencyRing(std::size_t capacity)
-    : ring_(std::max<std::size_t>(1, capacity), 0.0) {}
-
-void LatencyRing::record(double us) {
-    ring_[next_] = us;
-    next_ = (next_ + 1) % ring_.size();
-    count_ = std::min(count_ + 1, ring_.size());
-}
-
-LatencyRing::Quantiles LatencyRing::quantiles() const {
-    Quantiles q;
-    q.samples = count_;
-    if (count_ == 0) return q;
-    std::vector<double> sorted(ring_.begin(), ring_.begin() + count_);
-    std::sort(sorted.begin(), sorted.end());
-    // Nearest-rank: the smallest sample >= the requested fraction of mass.
-    const auto rank = [&](double p) {
-        const std::size_t r = std::size_t(p * double(count_ - 1) + 0.5);
-        return sorted[std::min(r, count_ - 1)];
-    };
-    q.p50_us = rank(0.50);
-    q.p95_us = rank(0.95);
-    q.p99_us = rank(0.99);
-    return q;
-}
-
 ServeMetrics::ServeMetrics()
     : queue_depth_(registry_.gauge("serve_queue_depth")) {}
 

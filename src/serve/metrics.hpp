@@ -37,33 +37,12 @@
 
 namespace matador::serve {
 
-/// Fixed-capacity ring of the most recent latency samples; quantiles are
-/// computed over whatever the ring currently holds.
-///
-/// This is the pre-obs implementation, kept as the reference the
-/// obs::Histogram percentile test bit-matches against (same capacity,
-/// same nearest-rank formula).  Live serving records into the registry
-/// histograms instead.
-class LatencyRing {
-public:
-    explicit LatencyRing(std::size_t capacity = 4096);
-
-    void record(double us);
-    std::size_t samples() const { return count_; }
-
-    struct Quantiles {
-        double p50_us = 0.0;
-        double p95_us = 0.0;
-        double p99_us = 0.0;
-        std::size_t samples = 0;
-    };
-    /// Nearest-rank quantiles over the ring (zeros when empty).
-    Quantiles quantiles() const;
-
-private:
-    std::vector<double> ring_;
-    std::size_t next_ = 0;
-    std::size_t count_ = 0;  ///< min(total recorded, capacity)
+/// Nearest-rank latency quantiles over a model's recent samples.
+struct LatencyQuantiles {
+    double p50_us = 0.0;
+    double p95_us = 0.0;
+    double p99_us = 0.0;
+    std::size_t samples = 0;
 };
 
 /// One model's live counters (a snapshot copy, not the live object).
@@ -76,7 +55,7 @@ struct ModelMetrics {
     std::size_t lanes = 0;      ///< sum of occupied lanes over all blocks
     std::size_t labeled = 0;    ///< requests that carried a label
     std::size_t correct = 0;    ///< ... where the prediction matched it
-    LatencyRing::Quantiles latency;
+    LatencyQuantiles latency;
     double rolling_accuracy = 0.0;  ///< over the recent labeled window
     std::size_t rolling_window = 0; ///< labeled outcomes in that window
 

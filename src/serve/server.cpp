@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <chrono>
+#include <deque>
 #include <exception>
 #include <istream>
 #include <ostream>
@@ -167,7 +168,6 @@ Server::Pending Server::process_line(const std::string& line) {
         registry_.check_quarantine(name);
         pending.future =
             batcher_.submit(registry_.resolve(name), std::move(x), label);
-        pending.is_future = true;
     } catch (const ServeError& e) {
         pending.immediate = error_response(pending.id, e.code_name(), e.what(),
                                            e.retry_after_ms());
@@ -179,7 +179,7 @@ Server::Pending Server::process_line(const std::string& line) {
 }
 
 void Server::emit(std::ostream& out, Pending& pending) {
-    if (pending.is_future) {
+    if (pending.future.valid()) {
         const Reply reply = pending.future.get();
         util::Json r = util::Json::object();
         r.set("ok", true);
@@ -191,44 +191,54 @@ void Server::emit(std::ostream& out, Pending& pending) {
     } else {
         out << pending.immediate.dump() << '\n';
     }
+    out.flush();
 }
 
 int Server::run(std::istream& in, std::ostream& out) {
     if (!registry_.cache_dir().empty())
         registry_.scan_store();
+    in.tie(nullptr);
 
+    std::mutex mu;
+    std::condition_variable cv;  // window push/pop and end of input
     std::deque<Pending> window;
-    const auto drain_ready = [&] {
-        while (!window.empty() &&
-               (!window.front().is_future ||
-                window.front().future.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready)) {
-            emit(out, window.front());
+    bool input_done = false;
+
+    std::thread writer([&] {
+        obs::set_thread_name("serve-writer");
+        std::unique_lock<std::mutex> lock(mu);
+        for (;;) {
+            cv.wait(lock, [&] { return input_done || !window.empty(); });
+            if (window.empty()) return;
+            Pending pending = std::move(window.front());
             window.pop_front();
+            lock.unlock();
+            cv.notify_all();
+            emit(out, pending);
+            lock.lock();
         }
-    };
+    });
 
     std::string line;
     while (!shutdown_requested_.load() && std::getline(in, line)) {
         if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-        window.push_back(process_line(line));
-        drain_ready();
-        // The window bounds how far replies may trail requests: block on
-        // the oldest one rather than queueing without limit.
-        while (window.size() >= options_.max_inflight) {
-            emit(out, window.front());
-            window.pop_front();
-        }
+        Pending pending = process_line(line);
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] {
+            return window.empty() || window.size() < options_.max_inflight;
+        });
+        window.push_back(std::move(pending));
+        lock.unlock();
+        cv.notify_all();
     }
 
-    // EOF or shutdown: force out any partial batch, answer everything that
-    // was accepted, and leave a final status snapshot behind.
-    batcher_.flush();
-    while (!window.empty()) {
-        emit(out, window.front());
-        window.pop_front();
+    // EOF or shutdown: the writer answers everything accepted, then exits.
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        input_done = true;
     }
-    out.flush();
+    cv.notify_all();
+    writer.join();
     if (!options_.status_file.empty()) write_status_file();
     return 0;
 }

@@ -20,17 +20,19 @@
 // {"ok":false,"error":"<typed code>","detail":...} - a malformed line or a
 // shed request never kills the daemon.
 //
-// Responses are emitted strictly in request order.  predict replies ride
-// on batcher futures; a bounded re-order window keeps up to `max_inflight`
-// of them outstanding so micro-batches can fill while earlier replies are
-// still pending.  Optionally a background thread snapshots metrics to
-// `status_file` (atomic rename) every `status_interval_s` - the live
-// `serve-status` document readable while the daemon runs.
+// Responses are emitted strictly in request order, each as soon as it
+// exists.  The reading thread parses a line and pushes its slot (a reply
+// built on the spot, or a batcher future) into a window of at most
+// `max_inflight` unwritten replies; one writer thread pops the window in
+// order, waits on the front future, writes the reply and flushes.  A reply
+// never waits for a later request line.  Optionally a background thread
+// snapshots metrics to `status_file` (atomic rename) every
+// `status_interval_s` - the live `serve-status` document readable while the
+// daemon runs.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <future>
 #include <iosfwd>
 #include <mutex>
@@ -51,7 +53,7 @@ struct ServerOptions {
     std::string cache_dir;       ///< artifact store to scan_store(), "" = none
     std::string status_file;     ///< periodic serve-status JSON, "" = off
     double status_interval_s = 1.0;
-    std::size_t max_inflight = 256;  ///< predict re-order window
+    std::size_t max_inflight = 256;  ///< replies read but not yet written
 };
 
 class Server {
@@ -67,17 +69,18 @@ public:
     Batcher& batcher() { return batcher_; }
 
     /// Serve NDJSON requests from `in` until EOF or a shutdown op, writing
-    /// one response line per request to `out`.  Returns 0 on clean drain.
+    /// one response line per request to `out` from a writer thread.  Unties
+    /// `in` from any output stream (a tied read would flush `out` under the
+    /// writer).  Returns 0 once every reply is written.
     int run(std::istream& in, std::ostream& out);
 
 private:
     /// One slot in the in-order response window: either an already-built
-    /// response or a predict future still being batched.
+    /// response or (when `future` is valid) a predict still being batched.
     struct Pending {
         util::Json immediate;
         std::future<Reply> future;
         util::Json id;
-        bool is_future = false;
     };
 
     Pending process_line(const std::string& line);

@@ -204,46 +204,58 @@ private:
         return Json(v);
     }
 
+    Json parse_object() {
+        Json obj = Json::object();
+        skip_ws();
+        if (peek() == '}') {
+            ++pos_;
+            return obj;
+        }
+        while (true) {
+            skip_ws();
+            std::string key = parse_string();
+            skip_ws();
+            expect(':');
+            obj.set(key, parse_value());
+            skip_ws();
+            const char sep = peek();
+            ++pos_;
+            if (sep == '}') return obj;
+            if (sep != ',') fail("expected ',' or '}' in object");
+        }
+    }
+
+    Json parse_array() {
+        Json arr = Json::array();
+        skip_ws();
+        if (peek() == ']') {
+            ++pos_;
+            return arr;
+        }
+        while (true) {
+            arr.push_back(parse_value());
+            skip_ws();
+            const char sep = peek();
+            ++pos_;
+            if (sep == ']') return arr;
+            if (sep != ',') fail("expected ',' or ']' in array");
+        }
+    }
+
     Json parse_value() {
         skip_ws();
         const char c = peek();
-        if (c == '{') {
+        if (c == '{' || c == '[') {
+            // Each level is a stack frame: bound the recursion so hostile
+            // input is a parse error, not a stack overflow.
+            if (depth_ == Json::kMaxDepth)
+                fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+                     " levels");
             ++pos_;
-            Json obj = Json::object();
-            skip_ws();
-            if (peek() == '}') {
-                ++pos_;
-                return obj;
-            }
-            while (true) {
-                skip_ws();
-                std::string key = parse_string();
-                skip_ws();
-                expect(':');
-                obj.set(key, parse_value());
-                skip_ws();
-                const char sep = peek();
-                ++pos_;
-                if (sep == '}') return obj;
-                if (sep != ',') fail("expected ',' or '}' in object");
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            Json arr = Json::array();
-            skip_ws();
-            if (peek() == ']') {
-                ++pos_;
-                return arr;
-            }
-            while (true) {
-                arr.push_back(parse_value());
-                skip_ws();
-                const char sep = peek();
-                ++pos_;
-                if (sep == ']') return arr;
-                if (sep != ',') fail("expected ',' or ']' in array");
-            }
+            ++depth_;
+            Json v = c == '{' ? parse_object() : parse_array();
+            --depth_;
+            return v;
         }
         if (c == '"') return Json(parse_string());
         if (c == 't') {
@@ -265,6 +277,7 @@ private:
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

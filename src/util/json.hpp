@@ -63,8 +63,12 @@ public:
     /// "nan", "inf", "-inf".
     std::string dump(int indent = -1) const;
 
+    /// Deepest array/object nesting parse() accepts.
+    static constexpr std::size_t kMaxDepth = 256;
+
     /// Strict parse of one JSON document (trailing garbage is an error).
-    /// Throws std::runtime_error with an offset on malformed input.
+    /// Throws std::runtime_error with an offset on malformed input,
+    /// including nesting deeper than kMaxDepth.
     static Json parse(const std::string& text);
 
 private:

@@ -109,6 +109,27 @@ TEST(Json, RejectsMalformedInput) {
     EXPECT_THROW(Json::parse("{\"a\":1,}"), std::runtime_error);
 }
 
+TEST(Json, NestingIsBoundedWithAPositionedError) {
+    const std::size_t max = Json::kMaxDepth;
+    // At the limit: parses.
+    const Json ok = Json::parse(std::string(max, '[') + std::string(max, ']'));
+    EXPECT_TRUE(ok.is_array());
+    // One level deeper, and far deeper (a stack overflow without the
+    // bound): a parse error at the offending bracket.
+    for (const std::size_t depth : {max + 1, std::size_t(50000)}) {
+        try {
+            (void)Json::parse(std::string(depth, '['));
+            FAIL() << "depth " << depth << " accepted";
+        } catch (const std::runtime_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("nesting"), std::string::npos) << what;
+            EXPECT_NE(what.find("offset " + std::to_string(max)),
+                      std::string::npos)
+                << what;
+        }
+    }
+}
+
 TEST(Json, TypeMismatchesAndMissingKeysThrowWithContext) {
     const Json j = Json::parse(R"({"a": 1})");
     EXPECT_THROW(j.at("a").as_string(), std::runtime_error);

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <streambuf>
 #include <thread>
 #include <vector>
 
@@ -63,6 +67,67 @@ std::vector<util::BitVector> random_inputs(std::size_t bits, std::size_t n,
     }
     return xs;
 }
+
+/// An in-memory byte pipe that is also a streambuf: puts append under a
+/// lock, and gets block until bytes arrive or close() is called - the way
+/// a daemon's stdin blocks on an idle client.  Lets a test hold input open
+/// and watch output appear while Server::run is still reading.
+class BlockingPipe : public std::streambuf {
+public:
+    void write(const std::string& text) {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            data_ += text;
+        }
+        cv_.notify_all();
+    }
+    void close() {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            closed_ = true;
+        }
+        cv_.notify_all();
+    }
+    /// Everything written so far, once it holds `lines` newlines or
+    /// `timeout` has passed.
+    std::string wait_for_lines(std::size_t lines,
+                               std::chrono::milliseconds timeout) {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait_for(lock, timeout, [&] {
+            return std::size_t(std::count(data_.begin(), data_.end(), '\n')) >=
+                   lines;
+        });
+        return data_;
+    }
+
+protected:
+    int_type underflow() override {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return read_ < data_.size() || closed_; });
+        if (read_ == data_.size()) return traits_type::eof();
+        chunk_ = data_.substr(read_);
+        read_ = data_.size();
+        setg(chunk_.data(), chunk_.data(), chunk_.data() + chunk_.size());
+        return traits_type::to_int_type(chunk_[0]);
+    }
+    int_type overflow(int_type c) override {
+        if (!traits_type::eq_int_type(c, traits_type::eof()))
+            write(std::string(1, traits_type::to_char_type(c)));
+        return traits_type::not_eof(c);
+    }
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+        write(std::string(s, std::size_t(n)));
+        return n;
+    }
+
+private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::string data_;
+    std::size_t read_ = 0;   ///< bytes handed to the get area so far
+    std::string chunk_;      ///< the current get area
+    bool closed_ = false;
+};
 
 std::string fresh_dir(const std::string& tag) {
     const fs::path dir =
@@ -224,43 +289,55 @@ TEST(Batcher, MatchesOfflineEngineAcrossBlocks) {
     EXPECT_EQ(snap.total_requests, xs.size());
 }
 
-TEST(Batcher, FlushTimerReleasesPartialBlocks) {
+TEST(Batcher, AnswersALoneRequestWithoutWaitingForCompany) {
     train::WorkerPool pool(1);
+    serve::ServeMetrics metrics;
     ModelRegistry reg;
     const auto servable = reg.add(random_model(16, 2, 4, 10));
-    BatcherOptions options;
-    options.max_batch_delay_ms = 5.0;
-    Batcher batcher(pool, options);
+    Batcher batcher(pool, {}, &metrics);
 
-    // A lone request cannot fill a block; only the timer can release it.
+    // A lone request cannot fill a block; an idle dispatcher runs it as a
+    // one-lane block instead of holding it for more arrivals.
     const auto xs = random_inputs(16, 1, 11);
     auto future = batcher.submit(servable, xs[0]);
     ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
               std::future_status::ready)
-        << "partial block never flushed";
+        << "lone request never dispatched";
     EXPECT_EQ(future.get().prediction,
               servable->engine.predict(xs.data(), 1)[0]);
+    const auto snap = metrics.snapshot();
+    ASSERT_EQ(snap.models.size(), 1u);
+    EXPECT_EQ(snap.models[0].batches, 1u);
+    EXPECT_EQ(snap.models[0].lanes, 1u);
 }
 
 TEST(Batcher, ShedsOnOverloadWithTypedError) {
     train::WorkerPool pool(1);
     serve::ServeMetrics metrics;
     ModelRegistry reg;
-    const auto servable = reg.add(random_model(16, 2, 4, 12));
+    // A slow block: every clause includes every negated literal and the
+    // all-zero input satisfies them all, so scoring walks each literal of
+    // 2000 clauses.  While the dispatcher runs one such block, submissions
+    // pile up in the queue.
+    model::TrainedModel slow(512, 2, 1000);
+    for (std::size_t c = 0; c < 2; ++c)
+        for (std::size_t j = 0; j < 1000; ++j)
+            for (std::size_t f = 0; f < 512; ++f)
+                slow.clause(c, j).include_neg.set(f);
+    const auto servable = reg.add(slow);
     BatcherOptions options;
     options.max_queue_depth = 4;
-    options.max_batch_delay_ms = 60000.0;  // the timer never fires in-test
     Batcher batcher(pool, options, &metrics);
 
-    const auto xs = random_inputs(16, 5, 13);
+    const util::BitVector x(512);
     std::vector<std::future<Reply>> accepted;
-    // The dispatcher may legitimately move early submissions from the
-    // queue into a forming block, freeing depth; keep pushing until a
-    // submission sheds.
+    // The dispatcher takes the queue whenever it wakes, freeing depth;
+    // keep pushing until a submission lands while it is busy with a block
+    // and the queue is full.
     bool shed_seen = false;
     for (int attempt = 0; attempt < 1000 && !shed_seen; ++attempt) {
         try {
-            accepted.push_back(batcher.submit(servable, xs[attempt % 5]));
+            accepted.push_back(batcher.submit(servable, x));
         } catch (const ServeError& e) {
             EXPECT_EQ(e.code(), ErrorCode::kOverloaded);
             // The shed reply tells the client how long the queue needs to
@@ -281,7 +358,7 @@ TEST(Batcher, ShedsOnOverloadWithTypedError) {
 
     // After stop, submission fails typed.
     try {
-        batcher.submit(servable, xs[0]);
+        batcher.submit(servable, x);
         FAIL() << "submit after stop must fail";
     } catch (const ServeError& e) {
         EXPECT_EQ(e.code(), ErrorCode::kShuttingDown);
@@ -315,7 +392,6 @@ TEST(Registry, HotSwapUnderLoadDropsNothing) {
     reg.set_alias("default", a->hash_hex);
     BatcherOptions options;
     options.max_queue_depth = 100000;  // this test exercises swap, not shed
-    options.max_batch_delay_ms = 0.5;
     Batcher batcher(pool, options, &metrics);
 
     const std::size_t kClients = 4, kPerClient = 300;
@@ -452,6 +528,63 @@ TEST(Server, PredictErrorsAreTypedAndInOrder) {
     EXPECT_EQ(replies[0].at("error").as_string(), "feature-mismatch");
     EXPECT_EQ(replies[1].at("error").as_string(), "unknown-model");
     EXPECT_TRUE(replies[2].at("ok").as_bool());
+}
+
+TEST(Server, RepliesBeforeTheNextLineArrives) {
+    serve::ServerOptions options;
+    options.threads = 1;
+    serve::Server server(options);
+    const auto servable = server.registry().add(random_model(16, 2, 4, 34));
+    server.registry().set_alias("default", servable->hash_hex);
+
+    BlockingPipe in_pipe, out_pipe;
+    std::istream in(&in_pipe);
+    std::ostream out(&out_pipe);
+    int status = -1;
+    std::thread daemon([&] { status = server.run(in, out); });
+
+    // One request, and the client keeps the input open: a closed-loop
+    // client sends nothing more until this reply comes back.
+    in_pipe.write("{\"id\":1,\"x\":\"0000000000000000\"}\n");
+    const std::string first =
+        out_pipe.wait_for_lines(1, std::chrono::seconds(5));
+    // Release the daemon whatever happened, so a failure cannot hang.
+    in_pipe.write("{\"op\":\"shutdown\",\"id\":2}\n");
+    in_pipe.close();
+    daemon.join();
+
+    ASSERT_FALSE(first.empty()) << "no reply while the input stayed open";
+    const util::Json reply = util::Json::parse(first.substr(0, first.find('\n')));
+    EXPECT_TRUE(reply.at("ok").as_bool()) << first;
+    EXPECT_EQ(reply.at("id").as_double(), 1.0);
+    EXPECT_EQ(status, 0);
+    const std::string all = out_pipe.wait_for_lines(2, std::chrono::seconds(0));
+    EXPECT_EQ(std::count(all.begin(), all.end(), '\n'), 2) << all;
+}
+
+TEST(Server, SurvivesDeeplyNestedLine) {
+    serve::ServerOptions options;
+    options.threads = 1;
+    serve::Server server(options);
+    const auto servable = server.registry().add(random_model(16, 2, 4, 36));
+    server.registry().set_alias("default", servable->hash_hex);
+
+    // ~100 KB of nesting: unbounded recursive descent overflows the stack.
+    std::istringstream in(std::string(50000, '[') + std::string(50000, ']') +
+                          "\n{\"id\":1,\"x\":\"0000000000000000\"}\n");
+    std::ostringstream out;
+    EXPECT_EQ(server.run(in, out), 0);
+
+    std::vector<util::Json> replies;
+    std::istringstream lines(out.str());
+    for (std::string line; std::getline(lines, line);)
+        replies.push_back(util::Json::parse(line));
+    ASSERT_EQ(replies.size(), 2u);
+    EXPECT_FALSE(replies[0].at("ok").as_bool());
+    EXPECT_EQ(replies[0].at("error").as_string(), "bad-request");
+    EXPECT_NE(replies[0].at("detail").as_string().find("nesting"),
+              std::string::npos);
+    EXPECT_TRUE(replies[1].at("ok").as_bool()) << "daemon stopped serving";
 }
 
 // ---------------------------------------------------------------------------

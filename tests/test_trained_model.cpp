@@ -159,6 +159,32 @@ TEST(TrainedModel, LoadRejectsCorruptVersionHeader) {
     EXPECT_THROW(TrainedModel::load(empty), std::runtime_error);
 }
 
+TEST(TrainedModel, LoadRejectsOversizedHeaderBeforeAllocating) {
+    // A 4-line file whose header claims ~1.8e10 features: loading it used to
+    // allocate from the header and hang (or die in bad_alloc).  It must now
+    // fail at once, naming the header line.
+    std::stringstream huge(
+        "MATADOR-TM v1\nfeatures 17777777776\nclasses 2\n"
+        "clauses_per_class 10\n");
+    try {
+        TrainedModel::load(huge);
+        FAIL() << "oversized header accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("features"), std::string::npos)
+            << e.what();
+    }
+    // Each count within its own bound, but the product is not.
+    std::stringstream product(
+        "MATADOR-TM v1\nfeatures 1048576\nclasses 65536\n"
+        "clauses_per_class 1048576\n");
+    EXPECT_THROW(TrainedModel::load(product), std::runtime_error);
+    std::stringstream zero(
+        "MATADOR-TM v1\nfeatures 4\nclasses 0\nclauses_per_class 2\nend\n");
+    EXPECT_THROW(TrainedModel::load(zero), std::runtime_error);
+}
+
 TEST(TrainedModel, LoadRejectsCorruptClauseData) {
     // A literal token that is not a number must raise a clear error, not
     // silently produce garbage include masks.
